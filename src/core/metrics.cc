@@ -18,7 +18,9 @@ void AggregateMetrics::Add(const QueryMetrics& m) {
   super_hits += m.super_hits;
   fragment_hits += m.fragment_hits;
   fragment_computed += m.fragment_computed;
+  fragment_gap_fills += m.fragment_gap_fills;
   fragment_intersections += m.fragment_intersections;
+  fragment_star_checks += m.fragment_star_checks;
   fragment_candidates_pruned += m.fragment_candidates_pruned;
   t_validate_ns += m.t_validate_ns;
   t_index_ns += m.t_index_ns;
@@ -46,6 +48,8 @@ std::string AggregateMetrics::ToString() const {
      << " sub_hits=" << sub_hits << " super_hits=" << super_hits
      << " fragment_hits=" << fragment_hits
      << " fragment_pruned=" << fragment_candidates_pruned
+     << " fragment_gap_fills=" << fragment_gap_fills
+     << " fragment_star_checks=" << fragment_star_checks
      << " avg_query_ms=" << AvgQueryTimeMs()
      << " avg_overhead_ms=" << AvgOverheadMs();
   return os.str();
